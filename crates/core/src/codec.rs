@@ -330,7 +330,7 @@ pub fn encode(msg: &Msg) -> Vec<u8> {
         Msg::GcPrune { min_sns } => {
             buf.push(T_GC_PRUNE);
             put_u64(&mut buf, min_sns.len() as u64);
-            for sn in min_sns {
+            for sn in min_sns.iter() {
                 put_u64(&mut buf, sn.0);
             }
         }
@@ -448,7 +448,9 @@ pub fn decode(buf: &[u8]) -> Result<Msg, DecodeError> {
             for _ in 0..n {
                 min_sns.push(SeqNum(get_u64(buf, &mut pos)?));
             }
-            Msg::GcPrune { min_sns }
+            Msg::GcPrune {
+                min_sns: min_sns.into(),
+            }
         }
         T_RELIABLE => {
             let seq = get_u64(buf, &mut pos)?;
@@ -593,7 +595,7 @@ mod tests {
                 ],
             },
             Msg::GcPrune {
-                min_sns: vec![SeqNum(3), SeqNum(1), SeqNum(0)],
+                min_sns: vec![SeqNum(3), SeqNum(1), SeqNum(0)].into(),
             },
             Msg::Reliable {
                 seq: 1 << 50,

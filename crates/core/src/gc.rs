@@ -6,7 +6,7 @@
 //! per-cluster minimum SNs; each node drops CLCs below its cluster's
 //! minimum and logged messages acked below the receiver's minimum.
 
-use crate::recovery::{recovery_line, recovery_line_multi, ClcList};
+use crate::recovery::{Cascade, ClcList};
 use storage::SeqNum;
 
 /// For each cluster, the smallest SN any single-cluster failure could force
@@ -26,50 +26,41 @@ pub fn safe_minimum_sns_k(lists: &[ClcList], k: usize) -> Vec<SeqNum> {
     assert!(k >= 1, "must tolerate at least one failure");
     let n = lists.len();
     let k = k.min(n);
-    let mut mins: Vec<SeqNum> = lists
-        .iter()
-        .map(|l| l.last().expect("cluster with no CLC").0)
-        .collect();
-    // Size-1 sets (the common case) use the single-failure line directly.
-    for faulty in 0..n {
-        let line = recovery_line(lists, faulty);
-        for (m, &sn) in mins.iter_mut().zip(&line.sns) {
-            *m = (*m).min(sn);
-        }
-    }
-    // Larger sets: enumerate combinations up to size k.
-    let mut set: Vec<usize> = Vec::with_capacity(k);
+    let mut cascade = Cascade::new(lists);
+    let mut mins: Vec<SeqNum> = (0..n).map(|c| cascade.restored(c)).collect();
+    // Every non-empty failure set of size at most k. Only the clusters a
+    // cascade rolled back can lower a minimum: every other cluster stands
+    // at its latest CLC, which bounds its minimum already.
     fn walk(
-        lists: &[ClcList],
+        cascade: &mut Cascade,
         mins: &mut [SeqNum],
         set: &mut Vec<usize>,
         start: usize,
         remaining: usize,
     ) {
-        if set.len() >= 2 {
-            let line = recovery_line_multi(lists, set);
-            for (m, &sn) in mins.iter_mut().zip(&line.sns) {
-                *m = (*m).min(sn);
+        if !set.is_empty() {
+            cascade.run(set);
+            for &j in cascade.touched() {
+                mins[j] = mins[j].min(cascade.restored(j));
             }
         }
         if remaining == 0 {
             return;
         }
-        for c in start..lists.len() {
+        for c in start..mins.len() {
             set.push(c);
-            walk(lists, mins, set, c + 1, remaining - 1);
+            walk(cascade, mins, set, c + 1, remaining - 1);
             set.pop();
         }
     }
-    if k >= 2 {
-        walk(lists, &mut mins, &mut set, 0, k);
-    }
+    walk(&mut cascade, &mut mins, &mut Vec::with_capacity(k), 0, k);
     mins
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::recovery::recovery_line;
     use storage::Ddv;
 
     fn ddv(entries: &[u64]) -> std::sync::Arc<Ddv> {

@@ -192,7 +192,8 @@ pub enum Msg {
     /// GC initiator → everyone (via coordinators): safe minimum SNs.
     GcPrune {
         /// Per-cluster smallest SN any failure could force a rollback to.
-        min_sns: Vec<SeqNum>,
+        /// One allocation per GC round, shared by every copy and relay.
+        min_sns: Arc<[SeqNum]>,
     },
 
     // ---- host-level reliable transport (lossy networks) ----

@@ -24,7 +24,7 @@ use desim::SimTime;
 use netsim::{FastHashMap, NodeId};
 use std::collections::BTreeMap;
 use std::sync::Arc;
-use storage::{ClcMeta, ClcStore, Ddv, LogId, MessageLog, SeqNum};
+use storage::{ClcMeta, ClcStore, Ddv, LogId, MessageLog, SeqNum, SparseVec};
 
 /// An inter-cluster message held until a forced CLC commits (paper §3.2:
 /// "the application takes messages into account only when the forced CLC is
@@ -104,8 +104,9 @@ struct ColdState {
     store: ClcStore<NodeCheckpoint>,
     coord: CoordState,
     gc: Option<GcState>,
-    /// Highest alert epoch processed per origin cluster (alert dedup).
-    alert_seen: Vec<u64>,
+    /// Highest alert epoch processed per origin cluster (alert dedup);
+    /// sparse, so it costs only the clusters that ever alerted.
+    alert_seen: SparseVec<u64>,
     /// Count of intra-cluster messages observed crossing a checkpoint
     /// boundary outside a freeze window (consistency monitor).
     late_crossings: u64,
@@ -154,7 +155,8 @@ pub struct NodeEngine {
     failed: bool,
     /// Ghost floor per origin cluster: inter-cluster messages stamped with
     /// an epoch below this are in-flight sends of a dead incarnation.
-    min_epoch: Vec<u64>,
+    /// Sparse: a floor exists only for clusters that ever rolled back.
+    min_epoch: SparseVec<u64>,
     /// Application-material activity (delivery, send, commit) since the
     /// last restore; a re-restore of the latest CLC with no activity is a
     /// no-op and must not re-alert (terminates echo cascades).
@@ -224,7 +226,7 @@ impl NodeEngine {
             pending_inter: vec![],
             frozen: None,
             failed: false,
-            min_epoch: vec![0; n],
+            min_epoch: SparseVec::zeros(n),
             dirty: false,
             cold: Box::new(ColdState {
                 coordinator_rank: 0,
@@ -232,7 +234,7 @@ impl NodeEngine {
                 store,
                 coord: CoordState::default(),
                 gc: None,
-                alert_seen: vec![0; n],
+                alert_seen: SparseVec::zeros(n),
                 late_crossings: 0,
                 app_state: None,
             }),
@@ -475,12 +477,10 @@ impl NodeEngine {
                 // the known floor was sent by an incarnation whose
                 // execution has been rolled back — it must not exist.
                 let origin = from.cluster.index();
-                if sender_epoch < self.min_epoch[origin] {
+                if sender_epoch < self.min_epoch.get(origin) {
                     return;
                 }
-                if sender_epoch > self.min_epoch[origin] {
-                    self.min_epoch[origin] = sender_epoch;
-                }
+                self.min_epoch.raise(origin, sender_epoch);
                 if let Some(f) = self.frozen.as_mut() {
                     f.deferred.push((
                         from,
@@ -513,6 +513,10 @@ impl NodeEngine {
             } => {
                 self.apply_rollback(restore_sn, epoch, new_coordinator, out);
             }
+            // An alert names a cluster other than our own; anything else
+            // is malformed and dropped.
+            Msg::RollbackAlert { origin, .. } | Msg::AlertLocal { origin, .. }
+                if origin >= self.cfg.num_clusters() || origin == self.my_cluster() => {}
             Msg::RollbackAlert {
                 origin,
                 sn,
@@ -527,7 +531,7 @@ impl NodeEngine {
                 sn,
                 origin_epoch,
             } => {
-                self.min_epoch[origin] = self.min_epoch[origin].max(origin_epoch);
+                self.min_epoch.raise(origin, origin_epoch);
                 self.resend_logged(origin, sn, out);
             }
 
@@ -548,6 +552,9 @@ impl NodeEngine {
                 self.on_gc_list(now, cluster, list, out);
             }
             Msg::GcPrune { min_sns } => {
+                if min_sns.len() != self.cfg.num_clusters() {
+                    return; // malformed: not one minimum per cluster
+                }
                 // A coordinator hearing this from outside its cluster
                 // relays it to its own nodes.
                 if self.is_coordinator() && from.cluster != self.id.cluster {
@@ -1077,14 +1084,12 @@ impl NodeEngine {
         origin_epoch: u64,
         out: &mut OutputBuf,
     ) {
-        debug_assert_ne!(origin, self.my_cluster(), "alert from own cluster");
         // Each restore of `origin` produces exactly one alert with a fresh
         // epoch: process each at most once.
-        if origin_epoch <= self.cold.alert_seen[origin] {
+        if !self.cold.alert_seen.raise(origin, origin_epoch) {
             return;
         }
-        self.cold.alert_seen[origin] = origin_epoch;
-        self.min_epoch[origin] = self.min_epoch[origin].max(origin_epoch);
+        self.min_epoch.raise(origin, origin_epoch);
 
         let target = self
             .cold
@@ -1170,6 +1175,19 @@ impl NodeEngine {
         out: &mut OutputBuf,
     ) {
         let n = self.cfg.num_clusters();
+        // Drop a malformed list: one for a cluster that does not exist, an
+        // empty one (every cluster stores its initial CLC), or one whose
+        // stamps are of the wrong width or not monotone (a store's SNs
+        // increase and its DDV entries never fall).
+        let well_formed = cluster < n
+            && !list.is_empty()
+            && list.iter().all(|(_, ddv)| ddv.len() == n)
+            && list
+                .windows(2)
+                .all(|w| w[0].0 < w[1].0 && w[0].1.dominated_by(&w[1].1));
+        if !well_formed {
+            return;
+        }
         let complete = match self.cold.gc.as_mut() {
             Some(g) => {
                 g.lists.insert(cluster, list);
@@ -1189,7 +1207,8 @@ impl NodeEngine {
         let lists: Vec<Vec<(SeqNum, Arc<Ddv>)>> = (0..self.cfg.num_clusters())
             .map(|c| g.lists.remove(&c).expect("list collected"))
             .collect();
-        let min_sns = gc::safe_minimum_sns_k(&lists, self.cfg.gc_fault_tolerance);
+        let min_sns: Arc<[SeqNum]> =
+            gc::safe_minimum_sns_k(&lists, self.cfg.gc_fault_tolerance).into();
         for c in 1..self.cfg.num_clusters() {
             out.push(Output::Send {
                 to: self.coordinator_of(c),
@@ -1217,9 +1236,7 @@ impl NodeEngine {
         if after < before {
             out.push(Output::StorePruned { min_sn });
         }
-        for (c, &min_sn) in min_sns.iter().enumerate() {
-            self.log.prune(c, min_sn);
-        }
+        self.log.prune(min_sns);
         if self.is_coordinator() {
             out.push(Output::GcReport { before, after });
         }
@@ -1249,5 +1266,88 @@ mod layout_tests {
         // The freeze window (a whole staged checkpoint) must stay boxed:
         // it exists only between a ClcRequest and its commit.
         assert_eq!(std::mem::size_of::<Option<Box<FrozenState>>>(), 8);
+    }
+}
+
+/// Malformed messages that used to panic the engine are dropped.
+#[cfg(test)]
+mod malformed_input_tests {
+    use super::*;
+
+    fn engine(cluster: u16) -> NodeEngine {
+        NodeEngine::new(ProtocolConfig::new(vec![2, 2]), NodeId::new(cluster, 0))
+    }
+
+    fn receive(engine: &mut NodeEngine, from: NodeId, msg: Msg) -> Vec<Output> {
+        engine.handle_collect(SimTime::ZERO, Input::Receive { from, msg })
+    }
+
+    fn stamp(entries: &[u64]) -> Arc<Ddv> {
+        Arc::new(Ddv::from_entries(
+            entries.iter().map(|&e| SeqNum(e)).collect(),
+        ))
+    }
+
+    #[test]
+    fn gc_list_for_out_of_range_cluster_is_dropped() {
+        let mut initiator = engine(0);
+        initiator.handle_collect(SimTime::ZERO, Input::GcTimer);
+        // Before the fix this list counted toward completion and the
+        // collection then found cluster 1's list missing.
+        let bogus = Msg::GcDdvList {
+            cluster: 7,
+            list: vec![(SeqNum(1), stamp(&[0, 1]))],
+        };
+        assert!(receive(&mut initiator, NodeId::new(1, 0), bogus).is_empty());
+        // Empty, wrong-width and non-monotone lists are dropped too.
+        for list in [
+            vec![],
+            vec![(SeqNum(1), stamp(&[0, 1, 0]))],
+            vec![(SeqNum(2), stamp(&[1, 2])), (SeqNum(3), stamp(&[0, 3]))],
+        ] {
+            let bogus = Msg::GcDdvList { cluster: 1, list };
+            assert!(receive(&mut initiator, NodeId::new(1, 0), bogus).is_empty());
+        }
+        // The genuine list still completes the round.
+        let genuine = Msg::GcDdvList {
+            cluster: 1,
+            list: vec![(SeqNum(1), stamp(&[0, 1]))],
+        };
+        let out = receive(&mut initiator, NodeId::new(1, 0), genuine);
+        assert!(out.iter().any(|o| matches!(
+            o,
+            Output::Send {
+                msg: Msg::GcPrune { .. },
+                ..
+            }
+        )));
+    }
+
+    #[test]
+    fn short_gc_prune_is_dropped() {
+        let mut coordinator = engine(1);
+        let prune = Msg::GcPrune {
+            min_sns: vec![SeqNum(1)].into(),
+        };
+        assert!(receive(&mut coordinator, NodeId::new(0, 0), prune).is_empty());
+        assert_eq!(coordinator.store().len(), 1);
+    }
+
+    #[test]
+    fn alerts_from_out_of_range_origins_are_dropped() {
+        let mut coordinator = engine(1);
+        let alert = Msg::RollbackAlert {
+            origin: 9,
+            sn: SeqNum(1),
+            origin_epoch: 1,
+        };
+        assert!(receive(&mut coordinator, NodeId::new(0, 0), alert).is_empty());
+        let local = Msg::AlertLocal {
+            origin: 9,
+            sn: SeqNum(1),
+            origin_epoch: 1,
+        };
+        assert!(receive(&mut coordinator, NodeId::new(1, 0), local).is_empty());
+        assert_eq!(coordinator.epoch(), 0);
     }
 }

@@ -24,6 +24,7 @@
 //! and is the restore point — the paper's "first (the older) CLC which has
 //! its DDV entry … greater than or equal to the received SN".
 
+use std::collections::HashSet;
 use std::sync::Arc;
 use storage::{Ddv, SeqNum};
 
@@ -80,56 +81,181 @@ pub fn recovery_line_multi(lists: &[ClcList], faulty_set: &[usize]) -> RecoveryL
     for &faulty in faulty_set {
         assert!(faulty < lists.len(), "faulty cluster out of range");
     }
-    for (c, l) in lists.iter().enumerate() {
-        assert!(!l.is_empty(), "cluster {c} has no stored CLC");
+    let mut cascade = Cascade::new(lists);
+    cascade.run(faulty_set);
+    RecoveryLine {
+        sns: (0..lists.len()).map(|j| cascade.restored(j)).collect(),
+        rolled_back: cascade.line.reset,
     }
-    // pos[j] = index into lists[j] of the checkpoint cluster j stands at.
-    let mut pos: Vec<usize> = lists.iter().map(|l| l.len() - 1).collect();
-    // Clusters that performed a restore (losing their live suffix).
-    let mut reset = vec![false; lists.len()];
+}
 
-    // Every faulty cluster restores its newest stored CLC and alerts.
-    let mut worklist: Vec<(usize, SeqNum)> = faulty_set
-        .iter()
-        .map(|&faulty| {
-            reset[faulty] = true;
-            (faulty, lists[faulty][pos[faulty]].0)
-        })
-        .collect();
-    // Each (cluster, restored SN) alert is emitted at most once — the pure
-    // analogue of the operational protocol's per-epoch alert dedup, and
-    // what terminates echo cascades.
-    let mut emitted: std::collections::HashSet<(usize, SeqNum)> =
-        worklist.iter().copied().collect();
+/// For every origin cluster, the other clusters whose latest stamp holds a
+/// non-zero entry for it, ascending. Stamps are monotone along a list (as
+/// [`storage::ClcStore`] keeps them), so a cluster whose latest entry for
+/// the origin is zero has no CLC depending on it, and an alert with SN
+/// `s >= 1` cannot reach it: the cascade visits these clusters instead of
+/// the whole federation.
+struct Dependents {
+    /// Dependents of origin `o` are `clusters[offsets[o]..offsets[o + 1]]`.
+    offsets: Vec<u32>,
+    clusters: Vec<u32>,
+}
 
-    while let Some((origin, alert_sn)) = worklist.pop() {
-        for j in 0..lists.len() {
-            if j == origin {
-                continue;
+impl Dependents {
+    /// # Panics
+    /// If any cluster has no stored CLC.
+    fn new(lists: &[ClcList]) -> Self {
+        let n = lists.len();
+        let origins = |j: usize| {
+            let (_, latest) = lists[j].last().expect("non-empty list");
+            latest
+                .nonzero()
+                .map(|(o, _)| o)
+                .filter(move |&o| o != j && o < n)
+        };
+        // Counting sort by origin; filling in cluster order keeps every
+        // origin's dependents ascending.
+        let mut offsets = vec![0u32; n + 1];
+        for j in 0..n {
+            for o in origins(j) {
+                offsets[o + 1] += 1;
             }
-            if lists[j][pos[j]].1.get(origin) < alert_sn {
-                continue; // no dependency on the lost suffix
+        }
+        for o in 0..n {
+            offsets[o + 1] += offsets[o];
+        }
+        let mut next = offsets.clone();
+        let mut clusters = vec![0u32; offsets[n] as usize];
+        for j in 0..n {
+            for o in origins(j) {
+                clusters[next[o] as usize] = j as u32;
+                next[o] += 1;
             }
-            // Oldest CLC (within the surviving prefix) stamped >= alert_sn.
-            let first_offending = lists[j][..=pos[j]]
-                .iter()
-                .position(|(_, ddv)| ddv.get(origin) >= alert_sn)
-                .expect("latest offends, so some entry does");
-            // Even when the position does not move (the cluster restores
-            // its current checkpoint), the restore discards the live
-            // post-checkpoint segment, so the alert still propagates.
-            pos[j] = first_offending;
-            reset[j] = true;
-            let alert = (j, lists[j][first_offending].0);
-            if emitted.insert(alert) {
-                worklist.push(alert);
-            }
+        }
+        Dependents { offsets, clusters }
+    }
+
+    fn of(&self, origin: usize) -> &[u32] {
+        &self.clusters[self.offsets[origin] as usize..self.offsets[origin + 1] as usize]
+    }
+}
+
+/// Where each cluster stands during a cascade.
+struct Line {
+    /// `pos[j]` = index into `lists[j]` of the checkpoint cluster `j`
+    /// stands at.
+    pos: Vec<usize>,
+    /// Clusters that performed a restore (losing their live suffix).
+    reset: Vec<bool>,
+    /// The clusters with `reset` set — the only ones a run moved.
+    touched: Vec<usize>,
+}
+
+impl Line {
+    fn restore(&mut self, j: usize, to: usize) {
+        self.pos[j] = to;
+        if !self.reset[j] {
+            self.reset[j] = true;
+            self.touched.push(j);
+        }
+    }
+}
+
+/// The alert cascade over one set of stored lists, reusable across
+/// failure sets: a run costs the clusters it reaches and their
+/// dependents, not the federation size.
+pub(crate) struct Cascade<'a> {
+    lists: &'a [ClcList],
+    dependents: Dependents,
+    line: Line,
+    emitted: HashSet<(usize, SeqNum)>,
+    worklist: Vec<(usize, SeqNum)>,
+}
+
+impl<'a> Cascade<'a> {
+    /// # Panics
+    /// If any cluster has no stored CLC.
+    pub(crate) fn new(lists: &'a [ClcList]) -> Self {
+        for (c, l) in lists.iter().enumerate() {
+            assert!(!l.is_empty(), "cluster {c} has no stored CLC");
+        }
+        Cascade {
+            lists,
+            dependents: Dependents::new(lists),
+            line: Line {
+                pos: lists.iter().map(|l| l.len() - 1).collect(),
+                reset: vec![false; lists.len()],
+                touched: Vec::new(),
+            },
+            emitted: HashSet::new(),
+            worklist: Vec::new(),
         }
     }
 
-    RecoveryLine {
-        sns: (0..lists.len()).map(|j| lists[j][pos[j]].0).collect(),
-        rolled_back: reset,
+    /// The SN cluster `j` restores (its latest if untouched) after the
+    /// last [`run`](Self::run).
+    pub(crate) fn restored(&self, j: usize) -> SeqNum {
+        self.lists[j][self.line.pos[j]].0
+    }
+
+    /// The clusters the last run rolled back.
+    pub(crate) fn touched(&self) -> &[usize] {
+        &self.line.touched
+    }
+
+    /// Run the cascade for `faulty_set` from the clusters' latest CLCs.
+    pub(crate) fn run(&mut self, faulty_set: &[usize]) {
+        let lists = self.lists;
+        let line = &mut self.line;
+        for j in line.touched.drain(..) {
+            line.pos[j] = lists[j].len() - 1;
+            line.reset[j] = false;
+        }
+        // Every faulty cluster restores its newest stored CLC and alerts.
+        for &faulty in faulty_set {
+            line.restore(faulty, line.pos[faulty]);
+            self.worklist
+                .push((faulty, lists[faulty][line.pos[faulty]].0));
+        }
+        // Each (cluster, restored SN) alert is emitted at most once — the
+        // pure analogue of the operational protocol's per-epoch alert
+        // dedup, and what terminates echo cascades.
+        self.emitted.clear();
+        self.emitted.extend(self.worklist.iter().copied());
+
+        while let Some((origin, alert_sn)) = self.worklist.pop() {
+            let everyone: Vec<u32>;
+            let visit = if alert_sn > SeqNum::ZERO {
+                self.dependents.of(origin)
+            } else {
+                // Every entry is >= 0: a zero alert reaches everyone.
+                everyone = (0..lists.len() as u32)
+                    .filter(|&j| j as usize != origin)
+                    .collect();
+                &everyone
+            };
+            for &j in visit {
+                let j = j as usize;
+                let prefix = &lists[j][..=line.pos[j]];
+                if prefix[prefix.len() - 1].1.get(origin) < alert_sn {
+                    continue; // no dependency on the lost suffix
+                }
+                // Oldest CLC (within the surviving prefix) stamped >= alert_sn.
+                let first_offending = prefix
+                    .iter()
+                    .position(|(_, ddv)| ddv.get(origin) >= alert_sn)
+                    .expect("latest offends, so some entry does");
+                // Even when the position does not move (the cluster
+                // restores its current checkpoint), the restore discards
+                // the live post-checkpoint segment, so the alert still
+                // propagates.
+                line.restore(j, first_offending);
+                let alert = (j, lists[j][first_offending].0);
+                if self.emitted.insert(alert) {
+                    self.worklist.push(alert);
+                }
+            }
+        }
     }
 }
 

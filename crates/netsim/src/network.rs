@@ -50,23 +50,20 @@ pub struct TrafficCell {
 
 /// The network model: timing + accounting.
 ///
-/// Hot-path layout: traffic accounts and contention pipes live in dense
-/// `clusters × clusters` arrays (the cluster-pair domain is small and
-/// known up front), and the per-node-channel FIFO state lives in dense
-/// per-directed-cluster-pair rank tables (`ChannelFifo`) — `send`
-/// performs no hashing at all for small/medium federations, and no
-/// allocation after a cluster pair's first message.
+/// Everything the model keeps per directed cluster pair — traffic
+/// accounts, the contention pipe, and the node-channel FIFO table — lives
+/// in one pair record, created on the pair's first message. A pair that
+/// never carried traffic costs one index slot, so memory grows with the
+/// pairs that talk, not with `clusters²`; `send` performs one index lookup
+/// and no allocation after a pair's first message.
 pub struct Network {
     topology: Topology,
     contention: ContentionModel,
     n_clusters: usize,
-    /// Per directed node channel: last scheduled arrival (FIFO ordering).
-    channels: ChannelFifo,
-    /// Per directed cluster pair: when the shared pipe frees up (dense
-    /// `from * n + to`; `ZERO` = never used).
-    pipe_free_at: Vec<SimTime>,
-    /// Accounting: dense `(from * n + to) * 3 + class` cells.
-    accounts: Vec<TrafficCell>,
+    /// Directed cluster pair -> index into `pairs`.
+    pair_index: PairIndex,
+    /// Every pair that carried traffic, in order of first message.
+    pairs: Vec<PairRecord>,
     /// Memoized [`LinkSpec::transmit_time`] results, direct-mapped on
     /// `(bandwidth, bytes)`. A federation uses a handful of distinct
     /// link-class x message-size combinations, so this turns the per-send
@@ -77,8 +74,8 @@ pub struct Network {
 
 const N_CLASSES: usize = 3;
 
-/// Above this many clusters the `clusters × clusters` pair-index table
-/// would dominate memory; fall back to one global hash map.
+/// Up to this many clusters the pair index is a dense `clusters ×
+/// clusters` table of `u32` (16 MiB at the limit); above it, a hash map.
 const MAX_DENSE_CLUSTERS: usize = 2048;
 /// A cluster pair's `from_ranks × to_ranks` channel table is allocated
 /// densely up to this many cells (512 KiB); larger pairs hash per pair.
@@ -86,21 +83,26 @@ const DENSE_CHANNEL_LIMIT: usize = 65_536;
 /// Slots in the transmit-time memo (power of two; collisions just recompute).
 const TRANSMIT_CACHE_SLOTS: usize = 16;
 
-/// FIFO last-arrival state for every directed node channel.
-///
-/// Channels are grouped by directed cluster pair; each pair's table is
-/// allocated lazily on its first message, dense (`from_rank * to_ranks +
-/// to_rank`) when small enough. `SimTime::ZERO` means "channel never
-/// used" — a real arrival is always strictly later.
-enum ChannelFifo {
-    /// `pair_index[from * n + to]` points into `pairs` (`u32::MAX` =
-    /// untouched pair).
-    Dense {
-        pair_index: Vec<u32>,
-        pairs: Vec<PairFifo>,
-    },
-    /// Huge federation: one flat hash over `(from, to)` node pairs.
-    Global(FastHashMap<(NodeId, NodeId), SimTime>),
+/// Directed cluster pair -> index of its [`PairRecord`].
+enum PairIndex {
+    /// `slots[from * n + to]`; `u32::MAX` = the pair never carried traffic.
+    Dense(Vec<u32>),
+    /// Huge federation: hashed on `(from, to)`.
+    Hash(FastHashMap<(u16, u16), u32>),
+}
+
+/// Everything the network keeps for one directed cluster pair.
+struct PairRecord {
+    from: ClusterId,
+    to: ClusterId,
+    /// Per-class traffic charged to this pair.
+    accounts: [TrafficCell; N_CLASSES],
+    /// When the pair's shared pipe frees up (`ZERO` = never used).
+    pipe_free_at: SimTime,
+    /// Last scheduled arrival per directed node channel of the pair.
+    /// `SimTime::ZERO` means "channel never used" — a real arrival is
+    /// always strictly later.
+    fifo: PairFifo,
 }
 
 /// One directed cluster pair's node-channel table.
@@ -109,6 +111,29 @@ enum PairFifo {
     Dense { to_ranks: u32, last: Box<[SimTime]> },
     /// Clusters too large for a dense rank product.
     Hash(FastHashMap<(u32, u32), SimTime>),
+}
+
+impl PairFifo {
+    fn new(from_ranks: usize, to_ranks: usize) -> Self {
+        if from_ranks * to_ranks <= DENSE_CHANNEL_LIMIT {
+            PairFifo::Dense {
+                to_ranks: to_ranks as u32,
+                last: vec![SimTime::ZERO; from_ranks * to_ranks].into_boxed_slice(),
+            }
+        } else {
+            PairFifo::Hash(FastHashMap::default())
+        }
+    }
+
+    #[inline]
+    fn last(&mut self, from_rank: u32, to_rank: u32) -> &mut SimTime {
+        match self {
+            PairFifo::Dense { to_ranks, last } => {
+                &mut last[from_rank as usize * *to_ranks as usize + to_rank as usize]
+            }
+            PairFifo::Hash(m) => m.entry((from_rank, to_rank)).or_insert(SimTime::ZERO),
+        }
+    }
 }
 
 #[inline]
@@ -124,21 +149,17 @@ impl Network {
     /// A network over `topology` with the default (unlimited) contention.
     pub fn new(topology: Topology) -> Self {
         let n = topology.num_clusters();
-        let channels = if n <= MAX_DENSE_CLUSTERS {
-            ChannelFifo::Dense {
-                pair_index: vec![u32::MAX; n * n],
-                pairs: Vec::new(),
-            }
+        let pair_index = if n <= MAX_DENSE_CLUSTERS {
+            PairIndex::Dense(vec![u32::MAX; n * n])
         } else {
-            ChannelFifo::Global(FastHashMap::default())
+            PairIndex::Hash(FastHashMap::default())
         };
         Network {
             topology,
             contention: ContentionModel::default(),
             n_clusters: n,
-            channels,
-            pipe_free_at: vec![SimTime::ZERO; n * n],
-            accounts: vec![TrafficCell::default(); n * n * N_CLASSES],
+            pair_index,
+            pairs: Vec::new(),
             // `bandwidth = 0` never occupies a slot (`transmit_time` is
             // INFINITE there and short-circuits before the cache), so the
             // zeroed sentinel rows can never produce a false hit.
@@ -166,9 +187,40 @@ impl Network {
         t
     }
 
+    /// The record of the pair `from → to`, if it ever carried traffic.
+    fn pair(&self, from: ClusterId, to: ClusterId) -> Option<&PairRecord> {
+        let pi = match &self.pair_index {
+            PairIndex::Dense(slots) => {
+                Some(slots[from.index() * self.n_clusters + to.index()]).filter(|&p| p != u32::MAX)
+            }
+            PairIndex::Hash(m) => m.get(&(from.0, to.0)).copied(),
+        };
+        pi.map(|p| &self.pairs[p as usize])
+    }
+
+    /// The record of the pair `from → to`, created on first use.
     #[inline]
-    fn account_index(&self, from: ClusterId, to: ClusterId, class: MessageClass) -> usize {
-        (from.index() * self.n_clusters + to.index()) * N_CLASSES + class_index(class)
+    fn pair_mut(&mut self, from: ClusterId, to: ClusterId) -> &mut PairRecord {
+        let next = self.pairs.len() as u32;
+        let slot = match &mut self.pair_index {
+            PairIndex::Dense(slots) => &mut slots[from.index() * self.n_clusters + to.index()],
+            PairIndex::Hash(m) => m.entry((from.0, to.0)).or_insert(u32::MAX),
+        };
+        if *slot == u32::MAX {
+            *slot = next;
+            self.pairs.push(PairRecord {
+                from,
+                to,
+                accounts: [TrafficCell::default(); N_CLASSES],
+                pipe_free_at: SimTime::ZERO,
+                fifo: PairFifo::new(
+                    self.topology.nodes_in(from) as usize,
+                    self.topology.nodes_in(to) as usize,
+                ),
+            });
+        }
+        let pi = *slot as usize;
+        &mut self.pairs[pi]
     }
 
     /// Select the contention model.
@@ -194,15 +246,15 @@ impl Network {
     ) -> SimTime {
         let link = self.topology.link_between(from.cluster, to.cluster);
         let transmit = self.transmit_time(&link, bytes);
+        let contention = self.contention;
+        let pair = self.pair_mut(from.cluster, to.cluster);
 
         // Queueing under the chosen contention model.
-        let depart = match self.contention {
+        let depart = match contention {
             ContentionModel::Unlimited => now,
             ContentionModel::InterClusterFifo if from.cluster != to.cluster => {
-                let pipe = &mut self.pipe_free_at
-                    [from.cluster.index() * self.n_clusters + to.cluster.index()];
-                let depart = (*pipe).max(now);
-                *pipe = depart.saturating_add(transmit);
+                let depart = pair.pipe_free_at.max(now);
+                pair.pipe_free_at = depart.saturating_add(transmit);
                 depart
             }
             ContentionModel::InterClusterFifo => now,
@@ -210,33 +262,7 @@ impl Network {
 
         let mut arrival = depart.saturating_add(transmit).saturating_add(link.latency);
         // Enforce FIFO per directed node channel.
-        let last = match &mut self.channels {
-            ChannelFifo::Dense { pair_index, pairs } => {
-                let p = from.cluster.index() * self.n_clusters + to.cluster.index();
-                let mut pi = pair_index[p];
-                if pi == u32::MAX {
-                    pi = pairs.len() as u32;
-                    pair_index[p] = pi;
-                    let nf = self.topology.nodes_in(from.cluster) as usize;
-                    let nt = self.topology.nodes_in(to.cluster) as usize;
-                    pairs.push(if nf * nt <= DENSE_CHANNEL_LIMIT {
-                        PairFifo::Dense {
-                            to_ranks: nt as u32,
-                            last: vec![SimTime::ZERO; nf * nt].into_boxed_slice(),
-                        }
-                    } else {
-                        PairFifo::Hash(FastHashMap::default())
-                    });
-                }
-                match &mut pairs[pi as usize] {
-                    PairFifo::Dense { to_ranks, last } => {
-                        &mut last[from.rank as usize * *to_ranks as usize + to.rank as usize]
-                    }
-                    PairFifo::Hash(m) => m.entry((from.rank, to.rank)).or_insert(SimTime::ZERO),
-                }
-            }
-            ChannelFifo::Global(m) => m.entry((from, to)).or_insert(SimTime::ZERO),
-        };
+        let last = pair.fifo.last(from.rank, to.rank);
         if arrival <= *last {
             arrival = last.saturating_add(SimDuration::from_nanos(1));
         }
@@ -247,22 +273,21 @@ impl Network {
             arrival = now.saturating_add(SimDuration::from_nanos(1));
         }
 
-        let idx = self.account_index(from.cluster, to.cluster, class);
-        let cell = &mut self.accounts[idx];
+        let cell = &mut pair.accounts[class_index(class)];
         cell.messages += 1;
         cell.bytes += bytes;
 
         arrival
     }
 
-    /// Traffic charged to a `(from, to, class)` account. Out-of-range
-    /// cluster ids report zero traffic (the function is total, as before
-    /// the dense-array rewrite).
+    /// Traffic charged to a `(from, to, class)` account. Pairs that never
+    /// carried traffic and out-of-range cluster ids report zero traffic.
     pub fn traffic(&self, from: ClusterId, to: ClusterId, class: MessageClass) -> TrafficCell {
         if from.index() >= self.n_clusters || to.index() >= self.n_clusters {
             return TrafficCell::default();
         }
-        self.accounts[self.account_index(from, to, class)]
+        self.pair(from, to)
+            .map_or_else(TrafficCell::default, |p| p.accounts[class_index(class)])
     }
 
     /// All application messages from `from` to `to` (the Table 1 cells).
@@ -275,33 +300,30 @@ impl Network {
         self.total_by_class(MessageClass::Protocol)
     }
 
-    /// Every `(from, to)` account cell of one class, row-major.
+    /// The account cell of one class of every pair that carried traffic.
     fn cells_of_class(
         &self,
         class: MessageClass,
-    ) -> impl Iterator<Item = (usize, usize, &TrafficCell)> {
-        let n = self.n_clusters;
+    ) -> impl Iterator<Item = (&PairRecord, TrafficCell)> {
         let k = class_index(class);
-        (0..n).flat_map(move |f| {
-            (0..n).map(move |t| (f, t, &self.accounts[(f * n + t) * N_CLASSES + k]))
-        })
+        self.pairs.iter().map(move |p| (p, p.accounts[k]))
     }
 
     /// Total messages of one class across all accounts.
     pub fn total_by_class(&self, class: MessageClass) -> u64 {
-        self.cells_of_class(class).map(|(_, _, c)| c.messages).sum()
+        self.cells_of_class(class).map(|(_, c)| c.messages).sum()
     }
 
     /// Total bytes of one class across all accounts.
     pub fn total_bytes_by_class(&self, class: MessageClass) -> u64 {
-        self.cells_of_class(class).map(|(_, _, c)| c.bytes).sum()
+        self.cells_of_class(class).map(|(_, c)| c.bytes).sum()
     }
 
     /// Inter-cluster messages of one class (excludes intra-cluster traffic).
     pub fn inter_cluster_by_class(&self, class: MessageClass) -> u64 {
         self.cells_of_class(class)
-            .filter(|(f, t, _)| f != t)
-            .map(|(_, _, c)| c.messages)
+            .filter(|(p, _)| p.from != p.to)
+            .map(|(_, c)| c.messages)
             .sum()
     }
 }

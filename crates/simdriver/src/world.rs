@@ -5,8 +5,7 @@ use crate::hostile::HostileRunStats;
 use crate::report::{ClusterStats, RunReport};
 use desim::{Ctx, EventKey, InboxKey, SimTime, TraceLevel, Tracer, World};
 use hc3i_core::{Input, Msg, NodeEngine, Output, OutputBuf, ReceiverChannel, SenderChannel};
-use netsim::{HostileNet, Network, NodeId, Topology};
-use std::collections::HashMap;
+use netsim::{FastHashMap, HostileNet, Network, NodeId, Topology};
 
 /// Events of the federation world.
 #[derive(Debug, Clone)]
@@ -164,20 +163,21 @@ impl ShardMap {
 
 /// Host-level reliable-transport state of the whole federation: one
 /// sender and one receiver channel per *directed* node pair that has
-/// carried inter-cluster traffic. Keyed access only (never iterated), so
-/// the hash map cannot perturb determinism.
+/// carried inter-cluster traffic. Keyed access only, apart from the
+/// order-independent retransmission sum, so the maps' iteration order
+/// cannot perturb determinism.
 pub(crate) struct XportState {
     cfg: hc3i_core::XportConfig,
-    senders: HashMap<(NodeId, NodeId), SenderChannel>,
-    receivers: HashMap<(NodeId, NodeId), ReceiverChannel>,
+    senders: FastHashMap<(NodeId, NodeId), SenderChannel>,
+    receivers: FastHashMap<(NodeId, NodeId), ReceiverChannel>,
 }
 
 impl XportState {
     fn new(cfg: hc3i_core::XportConfig) -> Self {
         XportState {
             cfg,
-            senders: HashMap::new(),
-            receivers: HashMap::new(),
+            senders: FastHashMap::default(),
+            receivers: FastHashMap::default(),
         }
     }
 

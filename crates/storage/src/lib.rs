@@ -4,7 +4,7 @@
 //! manipulates:
 //!
 //! * [`SeqNum`] / [`Ddv`] — per-cluster sequence numbers and Direct
-//!   Dependency Vectors (paper §3.1–3.2);
+//!   Dependency Vectors (paper §3.1–3.2), stored as [`SparseVec`]s;
 //! * [`ClcStore`] — the ordered store of committed cluster-level
 //!   checkpoints, with the rollback-target and GC-pruning queries;
 //! * [`MessageLog`] — the sender-side optimistic log of inter-cluster
@@ -24,7 +24,19 @@
 //! the stored `(SN, DDV)` pairs structurally instead of deep-copying one
 //! vector per stored checkpoint. Sharing is invisible to consumers:
 //! stamps are immutable, compare by value, and serialize by value.
-
+//!
+//! ## Sparse stamps
+//!
+//! A [`Ddv`] is a [`SparseVec`]: its non-zero entries as sorted
+//! `(cluster, SN)` pairs. A cluster fills only the entries of clusters it
+//! has heard from, so on ring or neighbour traffic a stamp costs its few
+//! dependencies instead of eight bytes per cluster of the federation, and
+//! merges and dominance checks walk only those entries. The engine keeps
+//! its per-cluster epoch floors and alert dedup in the same type. Stamps
+//! stay dense wherever they leave memory — [`SparseVec::iter`] yields
+//! every entry, zeros included, and the wire codec, the checkpoint image
+//! and `Display` are built on it — so encoded bytes do not depend on the
+//! representation.
 //!
 //! ## Durable backend
 //!
@@ -51,4 +63,4 @@ pub use durable::{
 };
 pub use log_store::{LogEntry, LogId, MessageLog};
 pub use replication::ReplicationPolicy;
-pub use stamp::{Ddv, SeqNum};
+pub use stamp::{Ddv, SeqNum, SparseVec};

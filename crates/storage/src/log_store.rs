@@ -134,17 +134,17 @@ impl<P> MessageLog<P> {
         }
     }
 
-    /// GC: drop entries destined to `dest_cluster` acked with SN < `min_sn`.
-    /// Unacked entries are always kept. Returns how many were removed.
-    pub fn prune(&mut self, dest_cluster: usize, min_sn: SeqNum) -> usize {
+    /// GC: drop entries destined to any cluster `c` acked with SN <
+    /// `min_sns[c]`, in one pass over the log. Unacked entries, and entries
+    /// destined to a cluster beyond `min_sns`, are always kept. Returns how
+    /// many were removed.
+    pub fn prune(&mut self, min_sns: &[SeqNum]) -> usize {
         let before = self.entries.len();
-        self.entries.retain(|e| {
-            e.dest_cluster != dest_cluster
-                || match e.ack_sn {
-                    None => true,
-                    Some(sn) => sn >= min_sn,
-                }
-        });
+        self.entries
+            .retain(|e| match (e.ack_sn, min_sns.get(e.dest_cluster)) {
+                (Some(sn), Some(&min_sn)) => sn >= min_sn,
+                _ => true,
+            });
         before - self.entries.len()
     }
 
@@ -249,19 +249,23 @@ mod tests {
     #[test]
     fn prune_removes_old_acked_only() {
         let mut l = filled();
-        assert_eq!(l.prune(1, SeqNum(5)), 1); // m1 (acked 2) goes
+        assert_eq!(l.prune(&[SeqNum(0), SeqNum(5)]), 1); // m1 (acked 2) goes
         assert_eq!(l.len(), 2);
         // m2 acked exactly at min stays.
         assert!(l.iter().any(|e| e.payload == "m2"));
-        // Other-cluster entry untouched.
+        // Entry to a cluster beyond the minima untouched.
         assert!(l.iter().any(|e| e.payload == "m3"));
+        // One pass applies every cluster's own minimum.
+        let mut l = filled();
+        assert_eq!(l.prune(&[SeqNum(9), SeqNum(6), SeqNum(1)]), 2);
+        assert_eq!(l.iter().next().unwrap().payload, "m3", "unacked stays");
     }
 
     #[test]
     fn prune_keeps_unacked() {
         let mut l = MessageLog::new();
         l.log(0, 0, "pending", 1, SeqNum(1));
-        assert_eq!(l.prune(0, SeqNum(100)), 0);
+        assert_eq!(l.prune(&[SeqNum(100)]), 0);
         assert_eq!(l.len(), 1);
     }
 
@@ -277,7 +281,7 @@ mod tests {
     fn byte_accounting() {
         let mut l = filled();
         assert_eq!(l.bytes(), 600);
-        l.prune(1, SeqNum(5));
+        l.prune(&[SeqNum(0), SeqNum(5)]);
         assert_eq!(l.bytes(), 500);
     }
 

@@ -44,91 +44,184 @@ impl fmt::Display for SeqNum {
 }
 
 /// A Direct Dependency Vector: one [`SeqNum`] per cluster of the federation.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub struct Ddv {
-    entries: Vec<SeqNum>,
+///
+/// Stored sparsely: a cluster fills only the entries of clusters it has
+/// heard from, so on ring or neighbour traffic almost every entry is zero.
+pub type Ddv = SparseVec<SeqNum>;
+
+/// A fixed-length, cluster-indexed vector that stores only its non-zero
+/// entries, as `(index, value)` pairs sorted by index ("zero" is
+/// `V::default()`).
+///
+/// Memory and the cost of [`merge_max`](Self::merge_max) and
+/// [`dominated_by`](Self::dominated_by) grow with the non-zero entries, not
+/// with the federation size; [`get`](Self::get) is a binary search over
+/// them. The representation is canonical — a zero is never stored — so
+/// equality and hashing are by value. Everything outward-facing is dense:
+/// [`iter`](Self::iter) yields all `len()` entries, zeros included, and
+/// the `Display` form lists them all, so wire and disk encodings built on
+/// `iter` do not depend on the representation.
+#[derive(Debug, Clone, PartialEq, Eq, Hash, Default)]
+pub struct SparseVec<V> {
+    len: usize,
+    entries: Vec<(u32, V)>,
 }
 
-impl Ddv {
-    /// All-zero DDV for a federation of `n` clusters.
+impl<V: Copy + Default + Ord> SparseVec<V> {
+    /// All-zero vector of length `n`.
     pub fn zeros(n: usize) -> Self {
-        Ddv {
-            entries: vec![SeqNum::ZERO; n],
+        assert!(n <= u32::MAX as usize, "vector length {n} out of range");
+        SparseVec {
+            len: n,
+            entries: Vec::new(),
         }
     }
 
-    /// Build from explicit entries.
-    pub fn from_entries(entries: Vec<SeqNum>) -> Self {
-        Ddv { entries }
+    /// Build from explicit dense entries.
+    pub fn from_entries(entries: Vec<V>) -> Self {
+        let mut v = Self::zeros(entries.len());
+        v.entries = (0u32..)
+            .zip(entries)
+            .filter(|&(_, e)| e != V::default())
+            .collect();
+        v
     }
 
-    /// Number of clusters this DDV covers.
+    /// Number of entries (clusters covered), zeros included.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.len
     }
 
-    /// True for a zero-cluster DDV (degenerate).
+    /// True for a zero-length vector (degenerate).
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.len == 0
     }
 
-    /// Entry for cluster `i`.
     #[inline]
-    pub fn get(&self, i: usize) -> SeqNum {
-        self.entries[i]
+    fn find(&self, i: usize) -> Result<usize, usize> {
+        assert!(
+            i < self.len,
+            "index {i} out of range for length {}",
+            self.len
+        );
+        self.entries.binary_search_by_key(&(i as u32), |&(c, _)| c)
     }
 
-    /// Set entry for cluster `i`.
+    /// Entry `i`.
     #[inline]
-    pub fn set(&mut self, i: usize, sn: SeqNum) {
-        self.entries[i] = sn;
+    pub fn get(&self, i: usize) -> V {
+        match self.find(i) {
+            Ok(k) => self.entries[k].1,
+            Err(_) => V::default(),
+        }
     }
 
-    /// Raise entry `i` to at least `sn`; returns `true` if it changed.
-    pub fn raise(&mut self, i: usize, sn: SeqNum) -> bool {
-        if sn > self.entries[i] {
-            self.entries[i] = sn;
-            true
-        } else {
-            false
+    /// Set entry `i`.
+    pub fn set(&mut self, i: usize, value: V) {
+        match (self.find(i), value == V::default()) {
+            (Ok(k), true) => {
+                self.entries.remove(k);
+            }
+            (Ok(k), false) => self.entries[k].1 = value,
+            (Err(_), true) => {}
+            (Err(k), false) => self.entries.insert(k, (i as u32, value)),
+        }
+    }
+
+    /// Raise entry `i` to at least `value`; returns `true` if it changed.
+    pub fn raise(&mut self, i: usize, value: V) -> bool {
+        match self.find(i) {
+            Ok(k) if value > self.entries[k].1 => {
+                self.entries[k].1 = value;
+                true
+            }
+            Ok(_) => false,
+            Err(k) if value > V::default() => {
+                self.entries.insert(k, (i as u32, value));
+                true
+            }
+            Err(_) => false,
         }
     }
 
     /// Component-wise max merge (the FullDdv transitive variant, paper §7).
     /// Returns `true` if any entry increased.
-    pub fn merge_max(&mut self, other: &Ddv) -> bool {
-        assert_eq!(
-            self.entries.len(),
-            other.entries.len(),
-            "DDV dimension mismatch"
-        );
+    pub fn merge_max(&mut self, other: &Self) -> bool {
+        assert_eq!(self.len, other.len, "DDV dimension mismatch");
+        // First pass: raise the entries both sides hold, in place, and
+        // count the ones only `other` holds.
         let mut changed = false;
-        for (mine, theirs) in self.entries.iter_mut().zip(&other.entries) {
-            if theirs > mine {
-                *mine = *theirs;
-                changed = true;
+        let mut missing = 0usize;
+        let mut k = 0usize;
+        for &(c, v) in &other.entries {
+            while k < self.entries.len() && self.entries[k].0 < c {
+                k += 1;
+            }
+            match self.entries.get_mut(k) {
+                Some(mine) if mine.0 == c => {
+                    if v > mine.1 {
+                        mine.1 = v;
+                        changed = true;
+                    }
+                }
+                _ => missing += 1,
             }
         }
-        changed
+        if missing == 0 {
+            return changed;
+        }
+        // Second pass: interleave the missing entries (every shared entry
+        // already holds the max).
+        let mut merged = Vec::with_capacity(self.entries.len() + missing);
+        let mut mine = self.entries.iter().peekable();
+        for &(c, v) in &other.entries {
+            while let Some(&&e) = mine.peek().filter(|e| e.0 < c) {
+                merged.push(e);
+                mine.next();
+            }
+            match mine.peek() {
+                Some(&&e) if e.0 == c => {
+                    merged.push(e);
+                    mine.next();
+                }
+                _ => merged.push((c, v)),
+            }
+        }
+        merged.extend(mine);
+        self.entries = merged;
+        true
     }
 
     /// Component-wise `<=` (is every dependency of `self` covered by
     /// `other`?). Used by consistency checks.
-    pub fn dominated_by(&self, other: &Ddv) -> bool {
-        assert_eq!(self.entries.len(), other.entries.len());
-        self.entries.iter().zip(&other.entries).all(|(a, b)| a <= b)
+    pub fn dominated_by(&self, other: &Self) -> bool {
+        assert_eq!(self.len, other.len, "DDV dimension mismatch");
+        let mut theirs = other.entries.iter().peekable();
+        self.entries.iter().all(|&(c, v)| {
+            while theirs.next_if(|e| e.0 < c).is_some() {}
+            theirs.peek().is_some_and(|e| e.0 == c && v <= e.1)
+        })
     }
 
-    /// Iterate entries in cluster order.
-    pub fn iter(&self) -> impl Iterator<Item = SeqNum> + '_ {
-        self.entries.iter().copied()
+    /// Iterate all `len()` entries in index order, zeros included.
+    pub fn iter(&self) -> impl Iterator<Item = V> + '_ {
+        let mut stored = self.entries.iter().peekable();
+        (0..self.len).map(move |i| match stored.next_if(|e| e.0 as usize == i) {
+            Some(&(_, v)) => v,
+            None => V::default(),
+        })
+    }
+
+    /// Iterate the non-zero entries as `(index, value)`, in index order.
+    pub fn nonzero(&self) -> impl Iterator<Item = (usize, V)> + '_ {
+        self.entries.iter().map(|&(c, v)| (c as usize, v))
     }
 }
 
-impl fmt::Display for Ddv {
+impl<V: Copy + Default + Ord + fmt::Display> fmt::Display for SparseVec<V> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "[")?;
-        for (i, e) in self.entries.iter().enumerate() {
+        for (i, e) in self.iter().enumerate() {
             if i > 0 {
                 write!(f, " ")?;
             }
@@ -195,6 +288,22 @@ mod tests {
             "incomparable pair"
         );
         assert!(a.dominated_by(&a), "reflexive");
+    }
+
+    #[test]
+    fn zeros_are_never_stored() {
+        let mut d = Ddv::from_entries(vec![SeqNum(0), SeqNum(4), SeqNum(0)]);
+        assert_eq!(d.nonzero().collect::<Vec<_>>(), vec![(1, SeqNum(4))]);
+        d.set(1, SeqNum::ZERO);
+        assert_eq!(d, Ddv::zeros(3), "equality is by value");
+        assert!(!d.raise(2, SeqNum::ZERO));
+        assert_eq!(d.nonzero().count(), 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn get_rejects_out_of_range_index() {
+        Ddv::zeros(2).get(2);
     }
 
     #[test]
